@@ -138,6 +138,7 @@ mod tests {
 
     #[test]
     fn contrastive_training_helps() {
+        let _obs = crate::obs_lock::shared();
         let points = contrastive_ablation(Scale::Small);
         let zero = points.iter().find(|(e, _)| *e == 0).unwrap().1;
         let trained = points.iter().map(|&(_, a)| a).fold(0.0, f64::max);
@@ -149,6 +150,7 @@ mod tests {
 
     #[test]
     fn beam_ablation_produces_grid() {
+        let _obs = crate::obs_lock::shared();
         let grid = beam_ablation(Scale::Small);
         assert_eq!(grid.len(), 4);
         for &(_, min_nodes, fid, spa) in &grid {

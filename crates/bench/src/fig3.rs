@@ -172,6 +172,7 @@ mod tests {
 
     #[test]
     fn pair_dataset_has_both_classes() {
+        let _obs = crate::obs_lock::shared();
         let ds = build_pair_dataset(40, 60, 1);
         let pos = ds.y.iter().filter(|&&v| v == 1).count();
         assert!(pos >= 20, "positives {pos}");
@@ -181,6 +182,7 @@ mod tests {
 
     #[test]
     fn classifiers_beat_chance_clearly() {
+        let _obs = crate::obs_lock::shared();
         let results = run(Scale::Small);
         assert_eq!(results.len(), 4);
         for r in &results {

@@ -88,6 +88,7 @@ mod tests {
 
     #[test]
     fn grid_shape_and_ordering() {
+        let _obs = crate::obs_lock::shared();
         // One alpha to keep the test fast; the bin runs the full sweep.
         let cells = run(Scale::Small, &[1.0]);
         assert_eq!(cells.len(), 2 * 5);

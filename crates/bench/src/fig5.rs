@@ -71,6 +71,7 @@ mod tests {
 
     #[test]
     fn boxes_cover_both_datasets() {
+        let _obs = crate::obs_lock::shared();
         // Abbreviated run: smallest client count only, via a custom sweep.
         let mut rng = Rng::seed_from_u64(51);
         let mut ds_cfg = DatasetConfig::small_ifttt();

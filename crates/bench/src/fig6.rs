@@ -116,6 +116,7 @@ mod tests {
 
     #[test]
     fn purity_bounds() {
+        let _obs = crate::obs_lock::shared();
         assert_eq!(cluster_purity(&[0, 0, 1, 1], &[0, 0, 1, 1], 2), 1.0);
         assert_eq!(cluster_purity(&[0, 1, 0, 1], &[0, 0, 1, 1], 2), 0.5);
     }

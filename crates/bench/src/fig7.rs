@@ -86,6 +86,7 @@ mod tests {
 
     #[test]
     fn fexiot_saves_traffic() {
+        let _obs = crate::obs_lock::shared();
         let bars = run(Scale::Small);
         assert_eq!(bars.len(), 4 * client_counts(Scale::Small).len());
         let saving = fexiot_saving(&bars);

@@ -244,6 +244,7 @@ mod tests {
 
     #[test]
     fn example_one_is_benign_example_two_is_loop() {
+        let _obs = crate::obs_lock::shared();
         let graphs = example_graphs();
         let v1 = detect_vulnerabilities(&graphs[0]);
         // Example 1 has a duplicate-free, loop-free structure in the paper's
@@ -255,6 +256,7 @@ mod tests {
 
     #[test]
     fn graphs_are_connected_enough_to_explain() {
+        let _obs = crate::obs_lock::shared();
         for g in example_graphs() {
             assert!(g.edge_count() >= 3, "graph too sparse: {:?}", g.edges);
         }

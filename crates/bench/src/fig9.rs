@@ -78,6 +78,7 @@ mod tests {
 
     #[test]
     fn rows_have_valid_ranges() {
+        let _obs = crate::obs_lock::shared();
         let rows = run(Scale::Small);
         assert_eq!(rows.len(), 3);
         for r in &rows {

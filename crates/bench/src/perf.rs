@@ -765,6 +765,8 @@ mod tests {
 
     #[test]
     fn registry_absorb_workload_is_deterministic_and_fast_to_rerun() {
+        // `run_reps` owns the global registry for the whole test.
+        let _obs = crate::obs_lock::exclusive();
         let cfg = PerfConfig {
             reps: 2,
             ..PerfConfig::default()
@@ -789,6 +791,8 @@ mod tests {
 
     #[test]
     fn stream_ingest_workload_is_deterministic_with_throughput_digest() {
+        // `run_reps` owns the global registry for the whole test.
+        let _obs = crate::obs_lock::exclusive();
         let cfg = PerfConfig {
             reps: 2,
             ..PerfConfig::default()
@@ -832,6 +836,8 @@ mod tests {
 
     #[test]
     fn store_warm_workload_is_deterministic_with_store_digest() {
+        // `run_reps` owns the global registry for the whole test.
+        let _obs = crate::obs_lock::exclusive();
         let cfg = PerfConfig {
             reps: 2,
             ..PerfConfig::default()

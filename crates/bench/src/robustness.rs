@@ -228,6 +228,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_all_cells_and_stays_sane() {
+        let _obs = crate::obs_lock::shared();
         let points = run(Scale::Small);
         assert_eq!(points.len(), 2 * dropout_rates().len());
         for p in &points {
@@ -253,6 +254,7 @@ mod tests {
 
     #[test]
     fn fleet_sweep_covers_all_cells_and_stays_sane() {
+        let _obs = crate::obs_lock::shared();
         let points = run_fleet(Scale::Small);
         assert_eq!(
             points.len(),

@@ -76,6 +76,7 @@ mod tests {
 
     #[test]
     fn four_rows_with_paper_proportions() {
+        let _obs = crate::obs_lock::shared();
         let (rows, _) = run(Scale::Small);
         assert_eq!(rows.len(), 4);
         // Labeled sets report vulnerability counts near the Table I ratios

@@ -338,6 +338,7 @@ mod tests {
 
     #[test]
     fn testbed_has_balanced_labels() {
+        let _obs = crate::obs_lock::shared();
         let cases = build_testbed(40, 1);
         let vulnerable = cases.iter().filter(|c| c.label == 1).count();
         assert_eq!(vulnerable, 20);
@@ -347,6 +348,7 @@ mod tests {
 
     #[test]
     fn cases_have_logs_and_online_graphs() {
+        let _obs = crate::obs_lock::shared();
         let cases = build_testbed(8, 2);
         for c in &cases {
             assert!(c.online.node_count() >= 2);
@@ -360,6 +362,7 @@ mod tests {
 
     #[test]
     fn quick_revert_detects_self_undoing_cascades() {
+        let _obs = crate::obs_lock::shared();
         use fexiot_graph::device::{DeviceKind, Location};
         use fexiot_graph::rule::dev;
         let d = dev(DeviceKind::WaterValve, Location::Kitchen);
@@ -379,6 +382,7 @@ mod tests {
 
     #[test]
     fn window_features_shape() {
+        let _obs = crate::obs_lock::shared();
         let cases = build_testbed(2, 3);
         let m = window_features(&cases[0].history_log, 8);
         assert_eq!(m.shape(), (8, 5));

@@ -100,6 +100,7 @@ mod tests {
 
     #[test]
     fn rows_report_positive_timings() {
+        let _obs = crate::obs_lock::shared();
         let rows = run(Scale::Small);
         assert_eq!(rows.len(), 2);
         for r in &rows {

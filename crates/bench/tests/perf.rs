@@ -1,6 +1,6 @@
 //! End-to-end check of the perf harness determinism contract: two same-seed
 //! runs of a workload must agree on every non-timing field of the
-//! `fexiot-bench/v1` document, and `diff_bench_reports` must report no
+//! `fexiot-bench/v1` document, and `diff_reports` must report no
 //! breaking drift between them.
 //!
 //! Kept as a single test because the harness runs against the global obs
@@ -8,7 +8,7 @@
 
 use fexiot_bench::perf::{self, PerfConfig};
 use fexiot_bench::Scale;
-use fexiot_obs::diff::{diff_bench_reports, validate_bench_report, DiffConfig, Severity};
+use fexiot_obs::diff::{diff_reports, validate_bench_report, DiffConfig, Severity};
 use fexiot_obs::profile::parse_collapsed;
 
 #[test]
@@ -34,7 +34,7 @@ fn same_seed_runs_are_bit_identical_outside_timing() {
     validate_bench_report(&doc_a).expect("run A produces a valid document");
     validate_bench_report(&doc_b).expect("run B produces a valid document");
 
-    let diff = diff_bench_reports(&doc_a, &doc_b, &DiffConfig::default());
+    let diff = diff_reports(&doc_a, &doc_b, &DiffConfig::default());
     let breaking: Vec<_> = diff
         .findings
         .iter()

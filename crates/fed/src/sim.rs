@@ -1604,6 +1604,11 @@ impl FedSim {
                 .collect::<Result<_, _>>()?;
         }
         let n_clusters = r.read_usize()?;
+        // Each cluster is at least its u64 length: reject a count the input
+        // cannot hold before reserving for it.
+        if n_clusters > r.remaining() / 8 {
+            return Err(CodecError::BadLength(n_clusters as u64));
+        }
         let mut clusters = Vec::with_capacity(n_clusters);
         for _ in 0..n_clusters {
             let len = r.read_usize()?;
@@ -2051,5 +2056,28 @@ mod tests {
         assert!(sim.restore(b"not a checkpoint").is_err());
         let (mut other, _) = make_sim(Strategy::FedAvg, 4, 26);
         assert!(other.restore(&blob).is_err(), "client count must match");
+    }
+
+    #[test]
+    fn restore_rejects_oversized_cluster_count_without_allocating() {
+        // Mark the cluster section with a sentinel member, then cut the blob
+        // right after an n_clusters of 2^32: the count must be refused
+        // against the remaining input, not reserved for.
+        let (mut sim, _) = make_sim(Strategy::FedAvg, 3, 26);
+        let sentinel = 0x5E47_1DE1_u64.to_le_bytes();
+        sim.clusters = vec![vec![0x5E47_1DE1]];
+        let mut blob = sim.checkpoint();
+        let at = blob
+            .windows(8)
+            .position(|w| w == sentinel)
+            .expect("sentinel cluster member is in the checkpoint");
+        // Layout: n_clusters (u64), cluster len (u64), sentinel member.
+        let n_clusters_at = at - 16;
+        blob[n_clusters_at..n_clusters_at + 8].copy_from_slice(&(1u64 << 32).to_le_bytes());
+        blob.truncate(n_clusters_at + 8);
+        assert!(matches!(
+            sim.restore(&blob),
+            Err(CodecError::BadLength(n)) if n == 1 << 32
+        ));
     }
 }

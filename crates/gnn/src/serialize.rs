@@ -93,6 +93,11 @@ pub fn encoder_from_bytes(bytes: &[u8]) -> Result<Encoder, CodecError> {
         }
         TAG_MAGNN => {
             let n_types = r.read_usize()?;
+            // Each entry is a platform tag byte plus a u64 dim: reject a count
+            // the input cannot hold before reserving for it.
+            if n_types > r.remaining() / 9 {
+                return Err(CodecError::BadLength(n_types as u64));
+            }
             let mut type_dims = Vec::with_capacity(n_types);
             for _ in 0..n_types {
                 let p = platform_from_tag(r.read_u8()?)?;
@@ -186,6 +191,20 @@ mod tests {
         assert!(matches!(
             encoder_from_bytes(&bytes),
             Err(CodecError::BadHeader)
+        ));
+    }
+
+    #[test]
+    fn oversized_magnn_type_count_is_rejected_without_allocating() {
+        // MAGIC, TAG_MAGNN, n_types = 2^32 and nothing else: the count must
+        // be refused against the remaining input, not reserved for.
+        let mut bytes = MAGIC.to_le_bytes().to_vec();
+        bytes.push(TAG_MAGNN);
+        bytes.extend_from_slice(&(1u64 << 32).to_le_bytes());
+        assert_eq!(bytes.len(), 17);
+        assert!(matches!(
+            encoder_from_bytes(&bytes),
+            Err(CodecError::BadLength(n)) if n == 1 << 32
         ));
     }
 }

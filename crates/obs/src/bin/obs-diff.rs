@@ -1,23 +1,22 @@
 //! `obs-diff [options] <baseline.json> <current.json>` — compares two
-//! `fexiot-obs/v1` run reports, or two `fexiot-bench/v1` benchmark documents
-//! (auto-detected from the `schema` field), and exits non-zero when
-//! deterministic data drifted (or, with `--strict-timing`, when timings
-//! regressed beyond tolerance). This is the CI perf/behaviour regression
-//! gate; the bench mode additionally treats allocation-count drift as
-//! breaking while timing percentiles stay advisory.
+//! `fexiot-obs` run reports, or two `fexiot-bench/v1` benchmark documents
+//! (told apart by the `schema` field; mixing the two is a usage error), and
+//! exits non-zero when deterministic data drifted (or, with
+//! `--strict-timing`, when timings regressed beyond tolerance). This is the
+//! CI perf/behaviour regression gate. Both families go through the same
+//! structural diff, whose severity rules are listed in
+//! `fexiot_obs::diff`.
 //!
 //! Options:
 //!   --timing-tolerance FRAC   allowed fractional slowdown (default 0.25)
-//!   --timing-floor-us N       ignore spans faster than this in the baseline
-//!                             (default 1000)
+//!   --timing-floor-us N       ignore `*_us` timings below this in the
+//!                             baseline (default 1000)
 //!   --strict-timing           timing regressions become breaking
 //!   --json                    print the fexiot-obs-diff/v1 verdict document
 //!
 //! Exit codes: 0 pass, 1 fail (breaking findings), 2 usage/IO error.
 
-use fexiot_obs::diff::{
-    diff_bench_reports, diff_reports, validate_bench_report, DiffConfig, BENCH_SCHEMA,
-};
+use fexiot_obs::diff::{diff_reports, validate_bench_report, DiffConfig, BENCH_SCHEMA};
 use fexiot_obs::{validate_report, Json};
 use std::path::Path;
 use std::process::ExitCode;
@@ -81,17 +80,14 @@ fn main() -> ExitCode {
         }
     };
     let is_bench = |doc: &Json| doc.get("schema").and_then(Json::as_str) == Some(BENCH_SCHEMA);
-    let report = match (is_bench(&base_doc), is_bench(&cur_doc)) {
-        (true, true) => diff_bench_reports(&base_doc, &cur_doc, &cfg),
-        (false, false) => diff_reports(&base_doc, &cur_doc, &cfg),
-        _ => {
-            eprintln!(
-                "obs-diff: {baseline} and {current} use different schemas \
-                 (cannot compare an obs report with a bench document)"
-            );
-            return ExitCode::from(2);
-        }
-    };
+    if is_bench(&base_doc) != is_bench(&cur_doc) {
+        eprintln!(
+            "obs-diff: {baseline} and {current} use different schemas \
+             (cannot compare an obs report with a bench document)"
+        );
+        return ExitCode::from(2);
+    }
+    let report = diff_reports(&base_doc, &cur_doc, &cfg);
     if as_json {
         println!(
             "{}",

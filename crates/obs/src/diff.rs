@@ -1,15 +1,33 @@
-//! Comparison of two obs run reports (`fexiot-obs/v4`, or the older v1–v3):
-//! the engine behind the `obs-diff` binary and the CI regression gate.
+//! Comparison of two obs run reports (`fexiot-obs/v4`, or the older v1–v3)
+//! or two `fexiot-bench/v1` benchmark documents: the engine behind the
+//! `obs-diff` binary and the CI regression gate.
 //!
-//! Severity model follows the determinism rule: everything except wall-clock
-//! data is a pure function of the seeded workload, so **any** drift in
-//! counters, gauges, non-timing histograms, span structure, or the critical
-//! path is *breaking*. Span `elapsed_us` and `*_us` histograms are noisy by
-//! nature, so regressions there are *advisory* by default and only fail the
-//! diff beyond the configured tolerance with `strict_timing`.
+//! One recursive walk over the two JSON documents decides every verdict.
+//! The field name is read in exactly one place, `classify`, which applies
+//! the naming rule the registry already uses for exports
+//! ([`is_timing_name`], [`is_environment_name`]); everything else follows
+//! from where a value sits in the document:
+//!
+//! | value | verdict |
+//! |---|---|
+//! | top-level `schema` | not compared |
+//! | top-level `run` | a change is advisory |
+//! | deterministic (any other name) | must match exactly, numbers by value; drift or one-sided presence is breaking |
+//! | top-level object present on one side only | advisory (older-schema baseline or flag change) |
+//! | `*_us` timing | a slowdown past `timing_tolerance` is flagged; baselines below `timing_floor_us` are skipped |
+//! | `*_per_sec`, `speedup_milli` timing | a drop past `timing_tolerance` is flagged |
+//! | `par.*` environment | any drift is advisory |
+//! | object whose `tracked` flag differs | one advisory finding; contents not compared |
+//! | span tree | nodes matched by index and `name`; `elapsed_us` is timing |
+//!
+//! Timing findings (one-sided timing values included) are advisory, or
+//! breaking under `strict_timing`. A timing-named object is judged by one
+//! number: its `p50` (the bench `timing_us` block) or its mean `sum / count`
+//! (histograms). Objects are walked member by member; arrays other than
+//! span trees compare as a whole.
 
 use crate::json::Json;
-use crate::registry::is_timing_name;
+use crate::registry::{is_environment_name, is_timing_name, TIMING_SUFFIX};
 
 /// Schema tag of the machine-readable verdict document.
 pub const DIFF_SCHEMA: &str = "fexiot-obs-diff/v1";
@@ -23,14 +41,15 @@ pub enum Severity {
     Advisory,
 }
 
-/// One observed difference between the two reports.
+/// One observed difference between the two documents.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Finding {
     pub severity: Severity,
-    /// What kind of data drifted: `counter`, `gauge`, `histogram`, `span`,
-    /// `timing`, `critical_path`, `section`, `throughput`, `store`, or
-    /// `report`.
-    pub kind: &'static str,
+    /// What kind of data drifted: `timing` for wall-clock findings, `span`
+    /// inside span trees, `report` for top-level scalars, `counter`,
+    /// `gauge`, `histogram` or `item` inside those maps, otherwise the
+    /// top-level section name (`timeseries`, `stream`, `alloc`, …).
+    pub kind: String,
     /// Dotted location, e.g. `counters.fed.sim.participants`.
     pub path: String,
     pub message: String,
@@ -42,8 +61,9 @@ pub struct DiffConfig {
     /// Fractional slowdown tolerated before a timing finding is raised
     /// (0.25 = current may be up to 25% slower than baseline).
     pub timing_tolerance: f64,
-    /// Spans faster than this in the baseline are never timing-flagged
-    /// (sub-millisecond spans are pure noise).
+    /// `*_us` values (span `elapsed_us`, the bench p50, `_us` gauges and
+    /// histogram means) below this in the baseline are never timing-flagged
+    /// (sub-millisecond timings are pure noise).
     pub timing_floor_us: u64,
     /// Promote timing findings to breaking (local perf gating; CI keeps
     /// them advisory because shared runners are noisy).
@@ -73,19 +93,18 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
-    fn push(&mut self, severity: Severity, kind: &'static str, path: String, message: String) {
+    fn push(&mut self, severity: Severity, kind: &str, path: &str, message: String) {
         if self.findings.len() >= MAX_FINDINGS {
             self.truncated += 1;
             return;
         }
         self.findings.push(Finding {
             severity,
-            kind,
-            path,
+            kind: kind.to_string(),
+            path: path.to_string(),
             message,
         });
     }
-
     pub fn breaking(&self) -> usize {
         self.findings
             .iter()
@@ -132,7 +151,7 @@ impl DiffReport {
                                         .into(),
                                     ),
                                 ),
-                                ("kind".into(), Json::Str(f.kind.into())),
+                                ("kind".into(), Json::Str(f.kind.clone())),
                                 ("path".into(), Json::Str(f.path.clone())),
                                 ("message".into(), Json::Str(f.message.clone())),
                             ])
@@ -166,402 +185,266 @@ impl DiffReport {
     }
 }
 
-fn num(j: &Json) -> Option<f64> {
-    match j {
-        Json::UInt(v) => Some(*v as f64),
-        Json::Num(v) => Some(*v),
-        _ => None,
+/// How a field name says its value is judged.
+#[derive(Clone, Copy)]
+enum Class {
+    /// A pure function of the seeded workload: must match exactly.
+    Deterministic,
+    /// Wall-clock data: durations get worse upward, rates downward.
+    Timing { higher_is_worse: bool },
+    /// Execution-environment fact (worker-pool sizing): drift is advisory.
+    Environment,
+}
+
+/// The one place a field name affects the verdict. `speedup_milli` is the
+/// bench store digest's warm/cold ratio — a rate without the `_per_sec`
+/// suffix, kept under its name because committed baselines carry it.
+fn classify(key: &str) -> Class {
+    if is_timing_name(key) || key == "speedup_milli" {
+        Class::Timing {
+            higher_is_worse: key.ends_with(TIMING_SUFFIX),
+        }
+    } else if is_environment_name(key) {
+        Class::Environment
+    } else {
+        Class::Deterministic
     }
 }
 
-fn obj_members(doc: &Json, key: &str) -> Vec<(String, Json)> {
-    match doc.get(key) {
-        Some(Json::Obj(members)) => members.clone(),
-        _ => Vec::new(),
+/// Compares two validated documents of the same family — two obs run
+/// reports (any schema version: the tag is not compared, so an older
+/// baseline diffs cleanly against a newer report) or two bench documents.
+/// See the module docs for the rules.
+pub fn diff_reports(baseline: &Json, current: &Json, cfg: &DiffConfig) -> DiffReport {
+    let mut walk = Walk {
+        cfg,
+        out: DiffReport::default(),
+    };
+    for (key, a, b) in union(baseline, current) {
+        let kind = match key {
+            "schema" => continue,
+            "counters" => "counter",
+            "gauges" => "gauge",
+            "histograms" => "histogram",
+            "items" => "item",
+            _ if a.or(b).is_some_and(is_scalar) => "report",
+            _ => key,
+        };
+        let class = if key == "run" {
+            Class::Environment
+        } else {
+            classify(key)
+        };
+        walk.member(kind, key, class, a, b, true);
+    }
+    walk.out
+}
+
+struct Walk<'c> {
+    cfg: &'c DiffConfig,
+    out: DiffReport,
+}
+
+impl Walk<'_> {
+    /// One named value, present on at least one side.
+    fn member(
+        &mut self,
+        kind: &str,
+        path: &str,
+        class: Class,
+        a: Option<&Json>,
+        b: Option<&Json>,
+        top_level: bool,
+    ) {
+        let (a, b) = match (a, b) {
+            (Some(a), Some(b)) => (a, b),
+            (one, other) => {
+                let (severity, kind) = match class {
+                    Class::Timing { .. } => (self.timing_severity(), "timing"),
+                    Class::Environment => (Severity::Advisory, kind),
+                    Class::Deterministic if top_level && one.or(other).is_some_and(is_object) => {
+                        (Severity::Advisory, kind)
+                    }
+                    Class::Deterministic => (Severity::Breaking, kind),
+                };
+                let message = match (one, other) {
+                    (Some(was), _) => format!("disappeared (was {})", brief(was)),
+                    (_, Some(now)) => format!("appeared (now {})", brief(now)),
+                    (None, None) => unreachable!("key came from the union"),
+                };
+                self.out.push(severity, kind, path, message);
+                return;
+            }
+        };
+        match class {
+            Class::Deterministic => self.value(kind, path, a, b),
+            Class::Timing { higher_is_worse } => self.timing(path, higher_is_worse, a, b),
+            Class::Environment if !same(a, b) => self.out.push(
+                Severity::Advisory,
+                kind,
+                path,
+                format!("{} -> {} (execution environment)", brief(a), brief(b)),
+            ),
+            Class::Environment => {}
+        }
+    }
+
+    /// A deterministic value present on both sides.
+    fn value(&mut self, kind: &str, path: &str, a: &Json, b: &Json) {
+        match (a, b) {
+            (Json::Obj(_), Json::Obj(_)) => {
+                let (ta, tb) = (a.get("tracked"), b.get("tracked"));
+                if ta != tb {
+                    let show = |t: Option<&Json>| t.map_or("absent".into(), brief);
+                    self.out.push(
+                        Severity::Advisory,
+                        kind,
+                        &format!("{path}.tracked"),
+                        format!("{} -> {}; contents not compared", show(ta), show(tb)),
+                    );
+                    return;
+                }
+                for (key, va, vb) in union(a, b) {
+                    let here = format!("{path}.{key}");
+                    self.member(kind, &here, classify(key), va, vb, false);
+                }
+            }
+            (Json::Arr(na), Json::Arr(nb)) if is_span_tree(na) || is_span_tree(nb) => {
+                self.spans(path, na, nb)
+            }
+            _ if !same(a, b) => self.out.push(
+                Severity::Breaking,
+                kind,
+                path,
+                format!("{} -> {}", brief(a), brief(b)),
+            ),
+            _ => {}
+        }
+    }
+
+    /// Span trees: nodes are matched by index and name, then walked like
+    /// any object (so `elapsed_us` is timing and `children` recurses here).
+    fn spans(&mut self, path: &str, a: &[Json], b: &[Json]) {
+        if a.len() != b.len() {
+            let message = format!("{} spans -> {}", a.len(), b.len());
+            self.out.push(Severity::Breaking, "span", path, message);
+            return;
+        }
+        for (i, (na, nb)) in a.iter().zip(b).enumerate() {
+            let (name_a, name_b) = (span_name(na), span_name(nb));
+            let here = format!("{path}[{i}].{name_a}");
+            if name_a != name_b {
+                let message = format!("name {name_a:?} -> {name_b:?}");
+                self.out.push(Severity::Breaking, "span", &here, message);
+            } else {
+                self.value("span", &here, na, nb);
+            }
+        }
+    }
+
+    /// A timing value present on both sides: only a regression past the
+    /// tolerance is a finding.
+    fn timing(&mut self, path: &str, higher_is_worse: bool, a: &Json, b: &Json) {
+        let (Some((ta, stat)), Some((tb, _))) = (timing_summary(a), timing_summary(b)) else {
+            return;
+        };
+        let worse_by = if higher_is_worse { tb / ta } else { ta / tb };
+        let below_floor = higher_is_worse && ta < self.cfg.timing_floor_us as f64;
+        if ta > 0.0 && !below_floor && worse_by > 1.0 + self.cfg.timing_tolerance {
+            let message = format!(
+                "{stat}{} -> {} ({:.0}% worse, tolerance {:.0}%)",
+                short(ta),
+                short(tb),
+                (worse_by - 1.0) * 100.0,
+                self.cfg.timing_tolerance * 100.0
+            );
+            self.out.push(self.timing_severity(), "timing", path, message);
+        }
+    }
+
+    fn timing_severity(&self) -> Severity {
+        if self.cfg.strict_timing {
+            Severity::Breaking
+        } else {
+            Severity::Advisory
+        }
     }
 }
 
-/// Walks both maps' key unions in sorted order, invoking `on_pair` with the
-/// values (`None` = absent on that side).
-fn union_keys<'a>(
-    a: &'a [(String, Json)],
-    b: &'a [(String, Json)],
-    mut on_pair: impl FnMut(&str, Option<&'a Json>, Option<&'a Json>),
-) {
-    let mut keys: Vec<&str> = a.iter().chain(b.iter()).map(|(k, _)| k.as_str()).collect();
+/// The one number a timing value is judged by: a number itself, a block
+/// with percentiles its `p50`, a histogram its mean `sum / count`.
+fn timing_summary(v: &Json) -> Option<(f64, &'static str)> {
+    if let Some(x) = v.as_f64() {
+        return Some((x, ""));
+    }
+    if let Some(p50) = v.get("p50").and_then(Json::as_f64) {
+        return Some((p50, "p50 "));
+    }
+    let sum = v.get("sum").and_then(Json::as_f64)?;
+    let count = v.get("count").and_then(Json::as_f64)?;
+    (count > 0.0).then(|| (sum / count, "mean "))
+}
+
+/// Whole numbers verbatim, fractions to one decimal.
+fn short(x: f64) -> String {
+    if x.fract() == 0.0 {
+        format!("{x:.0}")
+    } else {
+        format!("{x:.1}")
+    }
+}
+
+/// Both objects' keys in sorted order, each with its value on either side
+/// (`None` = absent there).
+fn union<'a>(a: &'a Json, b: &'a Json) -> Vec<(&'a str, Option<&'a Json>, Option<&'a Json>)> {
+    let members = |doc: &'a Json| match doc {
+        Json::Obj(members) => members.as_slice(),
+        _ => &[],
+    };
+    let mut keys: Vec<&str> = members(a)
+        .iter()
+        .chain(members(b))
+        .map(|(k, _)| k.as_str())
+        .collect();
     keys.sort_unstable();
     keys.dedup();
-    let find = |m: &'a [(String, Json)], k: &str| m.iter().find(|(mk, _)| mk == k).map(|(_, v)| v);
-    for k in keys {
-        on_pair(k, find(a, k), find(b, k));
-    }
+    keys.into_iter().map(|k| (k, a.get(k), b.get(k))).collect()
 }
 
-/// Compares two validated obs reports (either schema version; the schema
-/// tag itself is not compared, so a v1 baseline diffs cleanly against a v2
-/// report — the new sections get advisory one-sided handling below).
-pub fn diff_reports(baseline: &Json, current: &Json, cfg: &DiffConfig) -> DiffReport {
-    let mut out = DiffReport::default();
-    let timing_sev = if cfg.strict_timing {
-        Severity::Breaking
-    } else {
-        Severity::Advisory
-    };
-
-    let run = |doc: &Json| {
-        doc.get("run")
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_string()
-    };
-    if run(baseline) != run(current) {
-        out.push(
-            Severity::Advisory,
-            "report",
-            "run".into(),
-            format!("run name changed: {:?} -> {:?}", run(baseline), run(current)),
-        );
+/// Exact equality, except that numbers compare by value (`2` equals `2.0`).
+fn same(a: &Json, b: &Json) -> bool {
+    match (a.as_f64(), b.as_f64()) {
+        (Some(x), Some(y)) => x == y,
+        _ => a == b,
     }
-
-    // Counters and gauges: deterministic scalars, exact match required —
-    // except gauges whose names mark them as wall-clock rates (`*_per_sec`),
-    // which get the timing treatment: only a slowdown beyond tolerance is
-    // reported, at timing severity.
-    for (section, kind) in [("counters", "counter"), ("gauges", "gauge")] {
-        let a = obj_members(baseline, section);
-        let b = obj_members(current, section);
-        union_keys(&a, &b, |k, va, vb| {
-            let timing = section == "gauges" && is_timing_name(k);
-            let path = format!("{section}.{k}");
-            match (va, vb) {
-                (Some(va), Some(vb)) => {
-                    if timing {
-                        if let (Some(ra), Some(rb)) = (num(va), num(vb)) {
-                            // Rates: lower is worse.
-                            if ra > 0.0 && rb < ra / (1.0 + cfg.timing_tolerance) {
-                                out.push(
-                                    timing_sev,
-                                    "timing",
-                                    path,
-                                    format!(
-                                        "rate {ra:.1}/s -> {rb:.1}/s (-{:.0}%, tolerance {:.0}%)",
-                                        (1.0 - rb / ra) * 100.0,
-                                        cfg.timing_tolerance * 100.0
-                                    ),
-                                );
-                            }
-                        }
-                    } else if num(va) != num(vb) {
-                        out.push(Severity::Breaking, kind, path, format!("{} -> {}", va, vb));
-                    }
-                }
-                (Some(va), None) => out.push(
-                    if timing { timing_sev } else { Severity::Breaking },
-                    kind,
-                    path,
-                    format!("disappeared (was {})", va),
-                ),
-                (None, Some(vb)) => out.push(
-                    if timing { timing_sev } else { Severity::Breaking },
-                    kind,
-                    path,
-                    format!("appeared (now {})", vb),
-                ),
-                (None, None) => unreachable!("key came from the union"),
-            }
-        });
-    }
-
-    // Histograms: deterministic distributions unless the name marks them as
-    // wall-clock data, in which case only mean drift beyond tolerance is
-    // reported (at timing severity).
-    let a = obj_members(baseline, "histograms");
-    let b = obj_members(current, "histograms");
-    union_keys(&a, &b, |k, va, vb| {
-        let path = format!("histograms.{k}");
-        match (va, vb) {
-            (Some(va), Some(vb)) => {
-                if is_timing_name(k) {
-                    let mean = |h: &Json| -> Option<f64> {
-                        let sum = h.get("sum").and_then(num)?;
-                        let count = h.get("count").and_then(Json::as_u64)?;
-                        (count > 0).then(|| sum / count as f64)
-                    };
-                    if let (Some(ma), Some(mb)) = (mean(va), mean(vb)) {
-                        if ma > 0.0 && mb > ma * (1.0 + cfg.timing_tolerance) {
-                            out.push(
-                                timing_sev,
-                                "timing",
-                                path,
-                                format!(
-                                    "mean {:.1}us -> {:.1}us (+{:.0}%, tolerance {:.0}%)",
-                                    ma,
-                                    mb,
-                                    (mb / ma - 1.0) * 100.0,
-                                    cfg.timing_tolerance * 100.0
-                                ),
-                            );
-                        }
-                    }
-                } else {
-                    // Everything but f64 `sum`/`min`/`max` must match exactly;
-                    // the float fields are deterministic too, so exact is right.
-                    if va != vb {
-                        let field = |h: &Json, f: &str| {
-                            h.get(f).map(Json::to_string).unwrap_or_default()
-                        };
-                        let detail = ["count", "counts", "sum"]
-                            .iter()
-                            .find(|f| field(va, f) != field(vb, f))
-                            .map(|f| format!("{f}: {} -> {}", field(va, f), field(vb, f)))
-                            .unwrap_or_else(|| "distribution changed".into());
-                        out.push(Severity::Breaking, "histogram", path, detail);
-                    }
-                }
-            }
-            (Some(_), None) => {
-                let sev = if is_timing_name(k) { timing_sev } else { Severity::Breaking };
-                out.push(sev, "histogram", path, "disappeared".into());
-            }
-            (None, Some(_)) => {
-                let sev = if is_timing_name(k) { timing_sev } else { Severity::Breaking };
-                out.push(sev, "histogram", path, "appeared".into());
-            }
-            (None, None) => unreachable!("key came from the union"),
-        }
-    });
-
-    // Span trees: names and shape are deterministic; elapsed_us is advisory.
-    let empty = Vec::new();
-    let spans_a = baseline.get("spans").and_then(Json::as_arr).unwrap_or(&empty);
-    let spans_b = current.get("spans").and_then(Json::as_arr).unwrap_or(&empty);
-    diff_span_lists(spans_a, spans_b, "spans", cfg, timing_sev, &mut out);
-
-    // Critical path: a pure function of the seeded fault plan.
-    match (baseline.get("critical_path"), current.get("critical_path")) {
-        (None, None) => {}
-        (Some(a), Some(b)) => {
-            if a != b {
-                out.push(
-                    Severity::Breaking,
-                    "critical_path",
-                    "critical_path".into(),
-                    "per-round critical path changed".into(),
-                );
-            }
-        }
-        (a, _) => out.push(
-            Severity::Breaking,
-            "critical_path",
-            "critical_path".into(),
-            if a.is_some() { "disappeared" } else { "appeared" }.to_string(),
-        ),
-    }
-
-    // v2 sections. A report with a section vs one without is the expected
-    // v1→v2 (or flag on/off) situation — advisory, never breaking, so a
-    // committed v1 baseline keeps passing against v2 reports. When both
-    // sides carry the section, its contents are deterministic by
-    // construction and compared exactly.
-    match (baseline.get("timeseries"), current.get("timeseries")) {
-        (None, None) => {}
-        (Some(a), Some(b)) => {
-            let sa = obj_members(a, "series");
-            let sb = obj_members(b, "series");
-            union_keys(&sa, &sb, |k, va, vb| {
-                if is_timing_name(k) {
-                    return; // Defensive: the store refuses these on entry.
-                }
-                let path = format!("timeseries.{k}");
-                match (va, vb) {
-                    (Some(va), Some(vb)) => {
-                        if va != vb {
-                            out.push(
-                                Severity::Breaking,
-                                "timeseries",
-                                path,
-                                "per-round series changed".into(),
-                            );
-                        }
-                    }
-                    (Some(_), None) => {
-                        out.push(Severity::Breaking, "timeseries", path, "disappeared".into())
-                    }
-                    (None, Some(_)) => {
-                        out.push(Severity::Breaking, "timeseries", path, "appeared".into())
-                    }
-                    (None, None) => unreachable!("key came from the union"),
-                }
-            });
-        }
-        (a, _) => out.push(
-            Severity::Advisory,
-            "timeseries",
-            "timeseries".into(),
-            format!(
-                "section {} (v1 baseline or time-series flag change)",
-                if a.is_some() { "disappeared" } else { "appeared" }
-            ),
-        ),
-    }
-    match (baseline.get("slo"), current.get("slo")) {
-        (None, None) => {}
-        (Some(a), Some(b)) => {
-            if a != b {
-                out.push(
-                    Severity::Breaking,
-                    "slo",
-                    "slo".into(),
-                    "SLO verdicts changed".into(),
-                );
-            }
-        }
-        (a, _) => out.push(
-            Severity::Advisory,
-            "slo",
-            "slo".into(),
-            format!(
-                "section {} (v1 baseline or SLO flag change)",
-                if a.is_some() { "disappeared" } else { "appeared" }
-            ),
-        ),
-    }
-
-    match (baseline.get("stream"), current.get("stream")) {
-        (None, None) => {}
-        (Some(a), Some(b)) => {
-            if a != b {
-                let what = if a.get("detections_digest") != b.get("detections_digest") {
-                    "streaming detection outputs changed (digest mismatch)"
-                } else {
-                    "streaming actor stats changed"
-                };
-                out.push(Severity::Breaking, "stream", "stream".into(), what.into());
-            }
-        }
-        (a, _) => out.push(
-            Severity::Advisory,
-            "stream",
-            "stream".into(),
-            format!(
-                "section {} (pre-v4 baseline or serve flag change)",
-                if a.is_some() { "disappeared" } else { "appeared" }
-            ),
-        ),
-    }
-
-    // Sections this engine has no dedicated comparison for (v3's
-    // `root_cause`, and whatever later schemas add): a one-sided appearance
-    // is the expected old-baseline-vs-new-report situation — advisory,
-    // matching the v1→v2 precedent above — while a both-sided mismatch is
-    // still breaking, since every report section holds deterministic data
-    // by construction.
-    const KNOWN_SECTIONS: &[&str] = &[
-        "schema",
-        "run",
-        "spans",
-        "counters",
-        "gauges",
-        "histograms",
-        "dropped_spans",
-        "critical_path",
-        "timeseries",
-        "slo",
-        "stream",
-    ];
-    let unknown = |doc: &Json| -> Vec<(String, Json)> {
-        match doc {
-            Json::Obj(members) => members
-                .iter()
-                .filter(|(k, _)| !KNOWN_SECTIONS.contains(&k.as_str()))
-                .cloned()
-                .collect(),
-            _ => Vec::new(),
-        }
-    };
-    let (a, b) = (unknown(baseline), unknown(current));
-    union_keys(&a, &b, |k, va, vb| {
-        match (va, vb) {
-            (Some(va), Some(vb)) => {
-                if va != vb {
-                    out.push(
-                        Severity::Breaking,
-                        "section",
-                        k.to_string(),
-                        "section contents changed".into(),
-                    );
-                }
-            }
-            (one, _) => out.push(
-                Severity::Advisory,
-                "section",
-                k.to_string(),
-                format!(
-                    "section {} (older-schema baseline or flag change)",
-                    if one.is_some() { "disappeared" } else { "appeared" }
-                ),
-            ),
-        }
-    });
-
-    out
 }
 
 fn span_name(node: &Json) -> &str {
     node.get("name").and_then(Json::as_str).unwrap_or("?")
 }
 
-fn diff_span_lists(
-    a: &[Json],
-    b: &[Json],
-    path: &str,
-    cfg: &DiffConfig,
-    timing_sev: Severity,
-    out: &mut DiffReport,
-) {
-    if a.len() != b.len() {
-        out.push(
-            Severity::Breaking,
-            "span",
-            path.to_string(),
-            format!("{} children -> {}", a.len(), b.len()),
-        );
-        return;
-    }
-    for (i, (na, nb)) in a.iter().zip(b).enumerate() {
-        let here = format!("{path}[{i}].{}", span_name(na));
-        if span_name(na) != span_name(nb) {
-            out.push(
-                Severity::Breaking,
-                "span",
-                here,
-                format!("name {:?} -> {:?}", span_name(na), span_name(nb)),
-            );
-            continue;
-        }
-        let elapsed = |n: &Json| n.get("elapsed_us").and_then(Json::as_u64);
-        if let (Some(ea), Some(eb)) = (elapsed(na), elapsed(nb)) {
-            if ea >= cfg.timing_floor_us
-                && eb as f64 > ea as f64 * (1.0 + cfg.timing_tolerance)
-            {
-                out.push(
-                    timing_sev,
-                    "timing",
-                    here.clone(),
-                    format!(
-                        "{}us -> {}us (+{:.0}%, tolerance {:.0}%)",
-                        ea,
-                        eb,
-                        (eb as f64 / ea as f64 - 1.0) * 100.0,
-                        cfg.timing_tolerance * 100.0
-                    ),
-                );
-            }
-        }
-        fn kids(n: &Json) -> &[Json] {
-            n.get("children").and_then(Json::as_arr).unwrap_or(&[])
-        }
-        diff_span_lists(kids(na), kids(nb), &here, cfg, timing_sev, out);
+/// A span tree is a non-empty array of `{name, children, …}` nodes.
+fn is_span_tree(nodes: &[Json]) -> bool {
+    !nodes.is_empty()
+        && nodes
+            .iter()
+            .all(|n| n.get("name").is_some() && n.get("children").is_some())
+}
+
+fn is_object(v: &Json) -> bool {
+    matches!(v, Json::Obj(_))
+}
+
+fn is_scalar(v: &Json) -> bool {
+    !matches!(v, Json::Obj(_) | Json::Arr(_))
+}
+
+/// One-line rendering for messages: scalars verbatim, containers by size.
+fn brief(v: &Json) -> String {
+    match v {
+        Json::Arr(items) => format!("[{} items]", items.len()),
+        Json::Obj(members) => format!("{{{} fields}}", members.len()),
+        _ => v.to_string(),
     }
 }
 
@@ -653,266 +536,6 @@ pub fn validate_bench_report(doc: &Json) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Compares two validated `fexiot-bench/v1` documents. Identity fields
-/// (workload, scale, reps, seed, threads) and item counts are deterministic
-/// — drift is breaking (timing across different thread counts is never
-/// comparable). Allocation counters are breaking only when both runs
-/// tracked allocations (a tracked/untracked mismatch is advisory, since the
-/// untracked side holds zeros by construction). Timing percentiles get the
-/// usual wall-clock treatment: p50 slowdown beyond `timing_tolerance` above
-/// `timing_floor_us` at timing severity.
-pub fn diff_bench_reports(baseline: &Json, current: &Json, cfg: &DiffConfig) -> DiffReport {
-    let mut out = DiffReport::default();
-    let timing_sev = if cfg.strict_timing {
-        Severity::Breaking
-    } else {
-        Severity::Advisory
-    };
-
-    let str_field = |doc: &Json, f: &str| {
-        doc.get(f).and_then(Json::as_str).unwrap_or("?").to_string()
-    };
-    let uint_field = |doc: &Json, f: &str| doc.get(f).and_then(Json::as_u64).unwrap_or(0);
-    for field in ["workload", "scale"] {
-        let (a, b) = (str_field(baseline, field), str_field(current, field));
-        if a != b {
-            out.push(
-                Severity::Breaking,
-                "report",
-                field.into(),
-                format!("{a:?} -> {b:?} (comparing different benchmarks)"),
-            );
-        }
-    }
-    for field in ["reps", "seed", "threads"] {
-        let (a, b) = (uint_field(baseline, field), uint_field(current, field));
-        if a != b {
-            out.push(
-                Severity::Breaking,
-                "report",
-                field.into(),
-                format!("{a} -> {b} (runs are not comparable)"),
-            );
-        }
-    }
-    // Fleet-identity fields are optional but breaking whenever either side
-    // carries one: a 5-client flat run and a 2000-client hierarchical run
-    // measure different workloads even at the same seed.
-    for field in ["clients", "topology"] {
-        let render = |doc: &Json| doc.get(field).map(|v| v.to_string());
-        let (a, b) = (render(baseline), render(current));
-        if a != b {
-            let show = |v: &Option<String>| v.clone().unwrap_or_else(|| "absent".into());
-            out.push(
-                Severity::Breaking,
-                "report",
-                field.into(),
-                format!("{} -> {} (runs are not comparable)", show(&a), show(&b)),
-            );
-        }
-    }
-
-    // Item counts are pure functions of (seed, scale): exact match.
-    let a = obj_members(baseline, "items");
-    let b = obj_members(current, "items");
-    union_keys(&a, &b, |k, va, vb| {
-        let path = format!("items.{k}");
-        match (va, vb) {
-            (Some(va), Some(vb)) => {
-                if num(va) != num(vb) {
-                    out.push(Severity::Breaking, "item", path, format!("{} -> {}", va, vb));
-                }
-            }
-            (Some(va), None) => out.push(
-                Severity::Breaking,
-                "item",
-                path,
-                format!("disappeared (was {})", va),
-            ),
-            (None, Some(vb)) => out.push(
-                Severity::Breaking,
-                "item",
-                path,
-                format!("appeared (now {})", vb),
-            ),
-            (None, None) => unreachable!("key came from the union"),
-        }
-    });
-
-    let tracked = |doc: &Json| matches!(
-        doc.get("alloc").and_then(|a| a.get("tracked")),
-        Some(Json::Bool(true))
-    );
-    match (tracked(baseline), tracked(current)) {
-        (true, true) => {
-            for field in ["allocs", "bytes", "peak_live_bytes"] {
-                let get = |doc: &Json| {
-                    doc.get("alloc").and_then(|a| a.get(field)).and_then(Json::as_u64)
-                };
-                let (a, b) = (get(baseline), get(current));
-                if a != b {
-                    out.push(
-                        Severity::Breaking,
-                        "alloc",
-                        format!("alloc.{field}"),
-                        format!(
-                            "{} -> {} (allocation drift is deterministic data)",
-                            a.unwrap_or(0),
-                            b.unwrap_or(0)
-                        ),
-                    );
-                }
-            }
-        }
-        (true, false) | (false, true) => out.push(
-            Severity::Advisory,
-            "alloc",
-            "alloc.tracked".into(),
-            "one run was built without `track-alloc`; allocation counters not compared".into(),
-        ),
-        (false, false) => {}
-    }
-
-    // Streaming throughput: the event count and virtual-time p99 latency
-    // are deterministic data (breaking on drift); the wall-clock-derived
-    // sustained rate gets the advisory timing treatment. One-sided presence
-    // is advisory — the baseline may simply predate the streaming workload.
-    let tp = |doc: &Json, f: &str| {
-        doc.get("throughput").and_then(|t| t.get(f)).and_then(Json::as_u64)
-    };
-    match (baseline.get("throughput").is_some(), current.get("throughput").is_some()) {
-        (true, true) => {
-            for field in ["events", "latency_p99_ticks"] {
-                let (a, b) = (tp(baseline, field), tp(current, field));
-                if a != b {
-                    out.push(
-                        Severity::Breaking,
-                        "throughput",
-                        format!("throughput.{field}"),
-                        format!(
-                            "{} -> {} (deterministic streaming data)",
-                            a.unwrap_or(0),
-                            b.unwrap_or(0)
-                        ),
-                    );
-                }
-            }
-            if let (Some(ra), Some(rb)) = (
-                tp(baseline, "events_per_sec"),
-                tp(current, "events_per_sec"),
-            ) {
-                if ra > 0 && (rb as f64) < ra as f64 * (1.0 - cfg.timing_tolerance) {
-                    out.push(
-                        timing_sev,
-                        "timing",
-                        "throughput.events_per_sec".into(),
-                        format!(
-                            "{ra}/s -> {rb}/s ({:.0}%, tolerance {:.0}%)",
-                            (rb as f64 / ra as f64 - 1.0) * 100.0,
-                            cfg.timing_tolerance * 100.0
-                        ),
-                    );
-                }
-            }
-        }
-        (true, false) | (false, true) => out.push(
-            Severity::Advisory,
-            "throughput",
-            "throughput".into(),
-            "only one run carries a streaming throughput digest; not compared".into(),
-        ),
-        (false, false) => {}
-    }
-
-    // Artifact-store digest (store_warm workload): the warm-loaded payload
-    // digest and byte count are deterministic data — drift means the store
-    // serialized different artifacts for the same configuration, which is
-    // breaking. The cold populate time and the derived warm speedup are
-    // wall-clock and get the advisory timing treatment (a speedup *drop*
-    // beyond tolerance is flagged; an improvement never is).
-    fn st<'a>(doc: &'a Json, f: &str) -> Option<&'a Json> {
-        doc.get("store").and_then(|s| s.get(f))
-    }
-    match (baseline.get("store").is_some(), current.get("store").is_some()) {
-        (true, true) => {
-            let digest = |doc: &Json| {
-                st(doc, "digest").and_then(Json::as_str).unwrap_or("?").to_string()
-            };
-            let (da, db) = (digest(baseline), digest(current));
-            if da != db {
-                out.push(
-                    Severity::Breaking,
-                    "store",
-                    "store.digest".into(),
-                    format!("{da} -> {db} (warm-loaded artifact bytes changed)"),
-                );
-            }
-            let (ba, bb) = (
-                st(baseline, "blob_bytes").and_then(Json::as_u64),
-                st(current, "blob_bytes").and_then(Json::as_u64),
-            );
-            if ba != bb {
-                out.push(
-                    Severity::Breaking,
-                    "store",
-                    "store.blob_bytes".into(),
-                    format!(
-                        "{} -> {} (deterministic artifact size)",
-                        ba.unwrap_or(0),
-                        bb.unwrap_or(0)
-                    ),
-                );
-            }
-            if let (Some(sa), Some(sb)) = (
-                st(baseline, "speedup_milli").and_then(Json::as_u64),
-                st(current, "speedup_milli").and_then(Json::as_u64),
-            ) {
-                if sa > 0 && (sb as f64) < sa as f64 * (1.0 - cfg.timing_tolerance) {
-                    out.push(
-                        timing_sev,
-                        "timing",
-                        "store.speedup_milli".into(),
-                        format!(
-                            "warm speedup {:.1}x -> {:.1}x ({:.0}%, tolerance {:.0}%)",
-                            sa as f64 / 1000.0,
-                            sb as f64 / 1000.0,
-                            (sb as f64 / sa as f64 - 1.0) * 100.0,
-                            cfg.timing_tolerance * 100.0
-                        ),
-                    );
-                }
-            }
-        }
-        (true, false) | (false, true) => out.push(
-            Severity::Advisory,
-            "store",
-            "store".into(),
-            "only one run carries an artifact-store digest; not compared".into(),
-        ),
-        (false, false) => {}
-    }
-
-    let p50 = |doc: &Json| {
-        doc.get("timing_us").and_then(|t| t.get("p50")).and_then(Json::as_u64)
-    };
-    if let (Some(ta), Some(tb)) = (p50(baseline), p50(current)) {
-        if ta >= cfg.timing_floor_us && tb as f64 > ta as f64 * (1.0 + cfg.timing_tolerance) {
-            out.push(
-                timing_sev,
-                "timing",
-                "timing_us.p50".into(),
-                format!(
-                    "{ta}us -> {tb}us (+{:.0}%, tolerance {:.0}%)",
-                    (tb as f64 / ta as f64 - 1.0) * 100.0,
-                    cfg.timing_tolerance * 100.0
-                ),
-            );
-        }
-    }
-
-    out
 }
 
 #[cfg(test)]
@@ -1029,15 +652,15 @@ mod tests {
         let d = diff_reports(&v2, &v3, &DiffConfig::default());
         assert!(d.passed(), "{}", d.render());
         assert_eq!(d.advisory(), 1, "{}", d.render()); // root_cause appeared
-        assert_eq!(d.findings[0].kind, "section");
+        assert_eq!(d.findings[0].kind, "root_cause");
         let d = diff_reports(&v3, &v2, &DiffConfig::default());
         assert!(d.passed(), "{}", d.render());
         // Both sides carrying the section still compare exactly: a different
         // top cause is deterministic drift, hence breaking.
         let d = diff_reports(&report_v3(3, "straggler"), &report_v3(3, "agg_crash"), &DiffConfig::default());
         assert!(!d.passed(), "{}", d.render());
-        assert_eq!(d.findings[0].kind, "section");
-        assert_eq!(d.findings[0].path, "root_cause");
+        assert_eq!(d.findings[0].kind, "root_cause");
+        assert_eq!(d.findings[0].path, "root_cause.rules");
     }
 
     /// A v4 report: same shape as [`report_v2`] plus a `stream` section.
@@ -1069,8 +692,8 @@ mod tests {
         assert_eq!(d.findings[0].kind, "stream");
         let d = diff_reports(&v4, &v2, &DiffConfig::default());
         assert!(d.passed(), "{}", d.render());
-        // Both sides carrying the section compare exactly — detection-output
-        // drift names the digest, other drift names the actor stats.
+        // Both sides carrying the section compare exactly — each finding
+        // names the drifted field.
         let d = diff_reports(
             &report_v4(3, "00000000deadbeef", 0),
             &report_v4(3, "00000000cafef00d", 0),
@@ -1078,18 +701,14 @@ mod tests {
         );
         assert!(!d.passed(), "{}", d.render());
         assert_eq!(d.findings[0].kind, "stream");
-        assert!(d.findings[0].message.contains("digest"), "{}", d.render());
+        assert_eq!(d.findings[0].path, "stream.detections_digest", "{}", d.render());
         let d = diff_reports(
             &report_v4(3, "00000000deadbeef", 0),
             &report_v4(3, "00000000deadbeef", 4),
             &DiffConfig::default(),
         );
         assert!(!d.passed(), "{}", d.render());
-        assert!(
-            d.findings[0].message.contains("actor stats"),
-            "{}",
-            d.render()
-        );
+        assert_eq!(d.findings[0].path, "stream.shed", "{}", d.render());
     }
 
     #[test]
@@ -1142,6 +761,49 @@ mod tests {
         assert_eq!(d.findings[0].kind, "gauge");
     }
 
+    #[test]
+    fn us_gauge_slowdown_is_timing_and_speedup_is_not() {
+        let fast = report_with_gauges(r#"{"stream.detect_us":5000.0}"#);
+        let slow = report_with_gauges(r#"{"stream.detect_us":10000.0}"#);
+        let d = diff_reports(&fast, &slow, &DiffConfig::default());
+        assert!(d.passed(), "{}", d.render());
+        assert_eq!(d.findings.len(), 1, "{}", d.render());
+        assert_eq!(d.findings[0].kind, "timing");
+        assert_eq!(d.findings[0].path, "gauges.stream.detect_us");
+        let d = diff_reports(&slow, &fast, &DiffConfig::default());
+        assert!(d.findings.is_empty(), "{}", d.render());
+    }
+
+    #[test]
+    fn environment_gauge_drift_is_advisory() {
+        let a = report_with_gauges(r#"{"par.pool.workers":1.0}"#);
+        let b = report_with_gauges(r#"{"par.pool.workers":4.0}"#);
+        let d = diff_reports(&a, &b, &DiffConfig::default());
+        assert!(d.passed(), "{}", d.render());
+        assert_eq!(d.advisory(), 1, "{}", d.render());
+        assert_eq!(d.findings[0].kind, "gauge");
+        // Environment drift stays advisory under strict timing too.
+        let strict = DiffConfig { strict_timing: true, ..DiffConfig::default() };
+        assert!(diff_reports(&a, &b, &strict).passed());
+    }
+
+    #[test]
+    fn timing_histogram_is_judged_by_its_mean() {
+        let hist = |sum: u64| {
+            report_with_gauges("{}").to_string().replace(
+                r#""histograms":{}"#,
+                &format!(r#""histograms":{{"fed.client.train_us":{{"count":2,"sum":{sum}}}}}"#),
+            )
+        };
+        let (a, b) = (hist(4_000), hist(10_000));
+        let (a, b) = (Json::parse(&a).unwrap(), Json::parse(&b).unwrap());
+        let d = diff_reports(&a, &b, &DiffConfig::default());
+        assert!(d.passed(), "{}", d.render());
+        assert_eq!(d.findings.len(), 1, "{}", d.render());
+        assert_eq!(d.findings[0].kind, "timing");
+        assert!(d.findings[0].message.starts_with("mean 2000 -> 5000"), "{}", d.render());
+    }
+
     fn bench(seed: u64, graphs: u64, allocs: u64, tracked: bool, p50: u64) -> Json {
         Json::parse(&format!(
             r#"{{"schema":"fexiot-bench/v1","workload":"featurize","scale":"small","reps":5,"seed":{seed},"threads":1,"items":{{"graphs":{graphs}}},"alloc":{{"tracked":{tracked},"allocs":{allocs},"bytes":0,"peak_live_bytes":0}},"timing_us":{{"mean":{p50},"p50":{p50},"p90":{p50},"p99":{p50},"min":{p50},"max":{p50},"total":{p50}}}}}"#
@@ -1153,21 +815,21 @@ mod tests {
     fn bench_docs_validate_and_identical_pass() {
         let doc = bench(42, 150, 0, false, 5000);
         validate_bench_report(&doc).expect("well-formed");
-        let d = diff_bench_reports(&doc, &bench(42, 150, 0, false, 5000), &DiffConfig::default());
+        let d = diff_reports(&doc, &bench(42, 150, 0, false, 5000), &DiffConfig::default());
         assert!(d.passed() && d.findings.is_empty(), "{}", d.render());
         assert!(validate_bench_report(&report(1, 1)).is_err(), "obs schema must be rejected");
     }
 
     #[test]
     fn bench_item_and_seed_drift_are_breaking() {
-        let d = diff_bench_reports(
+        let d = diff_reports(
             &bench(42, 150, 0, false, 5000),
             &bench(42, 151, 0, false, 5000),
             &DiffConfig::default(),
         );
         assert!(!d.passed());
         assert_eq!(d.findings[0].kind, "item");
-        let d = diff_bench_reports(
+        let d = diff_reports(
             &bench(42, 150, 0, false, 5000),
             &bench(43, 150, 0, false, 5000),
             &DiffConfig::default(),
@@ -1189,13 +851,13 @@ mod tests {
         let a = with_fleet(2000, "hier:2");
         validate_bench_report(&a).expect("fleet identity fields are valid");
         // Same fleet shape: clean pass.
-        let d = diff_bench_reports(&a, &with_fleet(2000, "hier:2"), &DiffConfig::default());
+        let d = diff_reports(&a, &with_fleet(2000, "hier:2"), &DiffConfig::default());
         assert!(d.passed() && d.findings.is_empty(), "{}", d.render());
         // Different fleet size, and fleet vs no-fleet: both breaking.
-        let d = diff_bench_reports(&a, &with_fleet(100, "hier:2"), &DiffConfig::default());
+        let d = diff_reports(&a, &with_fleet(100, "hier:2"), &DiffConfig::default());
         assert!(!d.passed());
         assert_eq!(d.findings[0].path, "clients");
-        let d = diff_bench_reports(&a, &bench(42, 150, 0, false, 5000), &DiffConfig::default());
+        let d = diff_reports(&a, &bench(42, 150, 0, false, 5000), &DiffConfig::default());
         assert!(!d.passed(), "fleet vs flat must not compare");
         // A malformed fleet field is rejected up front.
         let mut bad = bench(42, 150, 0, false, 5000);
@@ -1225,22 +887,22 @@ mod tests {
         let a = with_tp(240, 50_000, 1);
         validate_bench_report(&a).expect("throughput fields are valid");
         // Identical digests: clean pass.
-        let d = diff_bench_reports(&a, &with_tp(240, 50_000, 1), &cfg);
+        let d = diff_reports(&a, &with_tp(240, 50_000, 1), &cfg);
         assert!(d.passed() && d.findings.is_empty(), "{}", d.render());
         // Event count and virtual-time p99 are deterministic: breaking.
-        let d = diff_bench_reports(&a, &with_tp(239, 50_000, 1), &cfg);
+        let d = diff_reports(&a, &with_tp(239, 50_000, 1), &cfg);
         assert!(!d.passed());
         assert_eq!(d.findings[0].path, "throughput.events");
-        let d = diff_bench_reports(&a, &with_tp(240, 50_000, 9), &cfg);
+        let d = diff_reports(&a, &with_tp(240, 50_000, 9), &cfg);
         assert!(!d.passed());
         assert_eq!(d.findings[0].path, "throughput.latency_p99_ticks");
         // A sustained-rate collapse past tolerance is advisory wall-clock.
-        let d = diff_bench_reports(&a, &with_tp(240, 10_000, 1), &cfg);
+        let d = diff_reports(&a, &with_tp(240, 10_000, 1), &cfg);
         assert!(d.passed(), "{}", d.render());
         assert_eq!(d.findings[0].path, "throughput.events_per_sec");
         assert_eq!(d.findings[0].severity, Severity::Advisory);
         // One-sided presence (pre-streaming baseline): advisory only.
-        let d = diff_bench_reports(&bench(42, 150, 0, false, 5000), &a, &cfg);
+        let d = diff_reports(&bench(42, 150, 0, false, 5000), &a, &cfg);
         assert!(d.passed(), "{}", d.render());
         assert_eq!(d.findings[0].kind, "throughput");
         // A malformed throughput field is rejected up front.
@@ -1272,25 +934,25 @@ mod tests {
         let a = with_store("fnv1a:00000000deadbeef", 40_000, 12_000);
         validate_bench_report(&a).expect("store fields are valid");
         // Identical digests: clean pass.
-        let d = diff_bench_reports(&a, &with_store("fnv1a:00000000deadbeef", 40_000, 12_000), &cfg);
+        let d = diff_reports(&a, &with_store("fnv1a:00000000deadbeef", 40_000, 12_000), &cfg);
         assert!(d.passed() && d.findings.is_empty(), "{}", d.render());
         // Payload digest and blob size are deterministic: breaking.
-        let d = diff_bench_reports(&a, &with_store("fnv1a:0000000000000bad", 40_000, 12_000), &cfg);
+        let d = diff_reports(&a, &with_store("fnv1a:0000000000000bad", 40_000, 12_000), &cfg);
         assert!(!d.passed());
         assert_eq!(d.findings[0].path, "store.digest");
-        let d = diff_bench_reports(&a, &with_store("fnv1a:00000000deadbeef", 39_999, 12_000), &cfg);
+        let d = diff_reports(&a, &with_store("fnv1a:00000000deadbeef", 39_999, 12_000), &cfg);
         assert!(!d.passed());
         assert_eq!(d.findings[0].path, "store.blob_bytes");
         // A warm-speedup collapse past tolerance is advisory wall-clock; an
         // improvement is never flagged.
-        let d = diff_bench_reports(&a, &with_store("fnv1a:00000000deadbeef", 40_000, 2_000), &cfg);
+        let d = diff_reports(&a, &with_store("fnv1a:00000000deadbeef", 40_000, 2_000), &cfg);
         assert!(d.passed(), "{}", d.render());
         assert_eq!(d.findings[0].path, "store.speedup_milli");
         assert_eq!(d.findings[0].severity, Severity::Advisory);
-        let d = diff_bench_reports(&a, &with_store("fnv1a:00000000deadbeef", 40_000, 90_000), &cfg);
+        let d = diff_reports(&a, &with_store("fnv1a:00000000deadbeef", 40_000, 90_000), &cfg);
         assert!(d.findings.is_empty(), "{}", d.render());
         // One-sided presence (pre-store baseline): advisory only.
-        let d = diff_bench_reports(&bench(42, 150, 0, false, 5000), &a, &cfg);
+        let d = diff_reports(&bench(42, 150, 0, false, 5000), &a, &cfg);
         assert!(d.passed(), "{}", d.render());
         assert_eq!(d.findings[0].kind, "store");
         // A malformed store section is rejected up front.
@@ -1302,13 +964,40 @@ mod tests {
     }
 
     #[test]
+    fn bench_store_cold_us_regression_is_advisory() {
+        let with_cold = |cold_us: u64| {
+            let mut doc = bench(42, 150, 0, false, 5000);
+            if let Json::Obj(members) = &mut doc {
+                members.push((
+                    "store".into(),
+                    Json::Obj(vec![
+                        ("digest".into(), Json::Str("fnv1a:00000000deadbeef".into())),
+                        ("blob_bytes".into(), Json::UInt(40_000)),
+                        ("cold_us".into(), Json::UInt(cold_us)),
+                        ("speedup_milli".into(), Json::UInt(12_000)),
+                    ]),
+                ));
+            }
+            doc
+        };
+        let d = diff_reports(&with_cold(90_000), &with_cold(200_000), &DiffConfig::default());
+        assert!(d.passed(), "{}", d.render());
+        assert_eq!(d.findings.len(), 1, "{}", d.render());
+        assert_eq!(d.findings[0].path, "store.cold_us");
+        assert_eq!(d.findings[0].severity, Severity::Advisory);
+        // A faster cold populate is never flagged.
+        let d = diff_reports(&with_cold(200_000), &with_cold(90_000), &DiffConfig::default());
+        assert!(d.findings.is_empty(), "{}", d.render());
+    }
+
+    #[test]
     fn bench_alloc_drift_breaking_only_when_both_tracked() {
         let cfg = DiffConfig::default();
-        let d = diff_bench_reports(&bench(42, 150, 100, true, 5000), &bench(42, 150, 101, true, 5000), &cfg);
+        let d = diff_reports(&bench(42, 150, 100, true, 5000), &bench(42, 150, 101, true, 5000), &cfg);
         assert!(!d.passed());
         assert_eq!(d.findings[0].kind, "alloc");
         // Tracked vs untracked: advisory note, no breaking comparison.
-        let d = diff_bench_reports(&bench(42, 150, 100, true, 5000), &bench(42, 150, 0, false, 5000), &cfg);
+        let d = diff_reports(&bench(42, 150, 100, true, 5000), &bench(42, 150, 0, false, 5000), &cfg);
         assert!(d.passed(), "{}", d.render());
         assert_eq!(d.advisory(), 1);
     }
@@ -1317,10 +1006,10 @@ mod tests {
     fn bench_timing_drift_advisory_unless_strict() {
         let base = bench(42, 150, 0, false, 10_000);
         let slow = bench(42, 150, 0, false, 20_000);
-        let d = diff_bench_reports(&base, &slow, &DiffConfig::default());
+        let d = diff_reports(&base, &slow, &DiffConfig::default());
         assert!(d.passed());
         assert_eq!(d.advisory(), 1);
-        let d = diff_bench_reports(
+        let d = diff_reports(
             &base,
             &slow,
             &DiffConfig { strict_timing: true, ..DiffConfig::default() },

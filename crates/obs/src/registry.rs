@@ -79,15 +79,16 @@ pub struct EventRecord {
     pub event: Event,
 }
 
-/// Histogram names ending in this suffix hold wall-clock data; they are
-/// excluded from deterministic exports and from timing-excluded streams,
-/// and `obs-diff` treats their drift as advisory.
+/// Metric and field names ending in this suffix hold wall-clock durations;
+/// they are excluded from deterministic exports and from timing-excluded
+/// streams, and `obs-diff` flags only a slowdown beyond its tolerance, as
+/// an advisory finding (see [`crate::diff`]).
 pub const TIMING_SUFFIX: &str = "_us";
 
-/// Gauge names ending in this suffix hold wall-clock-derived throughput
-/// (items per second). Like `_us` data they are nondeterministic, so they
-/// get the same treatment: dropped from deterministic exports and
-/// timing-excluded streams, advisory in `obs-diff`.
+/// Names ending in this suffix hold wall-clock-derived throughput (items
+/// per second). Like `_us` data they are nondeterministic, so they get the
+/// same treatment: dropped from deterministic exports and timing-excluded
+/// streams, and in `obs-diff` only a drop beyond tolerance is flagged.
 pub const RATE_SUFFIX: &str = "_per_sec";
 
 /// True when a metric name designates wall-clock (nondeterministic) data:
@@ -100,7 +101,8 @@ pub fn is_timing_name(name: &str) -> bool {
 /// sizing and other host facts from `fexiot-par`) rather than workload
 /// results. They legitimately differ between otherwise-identical runs on
 /// different machines or `--threads` settings, so deterministic exports drop
-/// them and `obs-diff` treats their drift as advisory.
+/// them and `obs-diff` reports any drift in them as advisory, never
+/// breaking (see [`crate::diff`]).
 pub const ENVIRONMENT_PREFIX: &str = "par.";
 
 /// True when a metric name designates execution-environment data (see
